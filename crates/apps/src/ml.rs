@@ -255,7 +255,7 @@ fn best_stump(data: &Dataset, w: &[f64]) -> (Stump, f64) {
     let mut best_err = f64::INFINITY;
     for f in 0..NUM_FEATURES {
         let mut vals: Vec<f64> = data.samples.iter().map(|s| s.x.0[f]).collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        vals.sort_by(f64::total_cmp);
         vals.dedup();
         let mut cands = vec![vals[0] - 0.5];
         for win in vals.windows(2) {
@@ -323,6 +323,14 @@ mod tests {
         let model = AdaBoost::train(&d, 10);
         let s = model.evaluate(&d);
         assert!(s.accuracy > 0.99, "{s:?}");
+    }
+
+    #[test]
+    fn nan_feature_trains_without_panic() {
+        let mut d = synthetic();
+        d.samples[3].x.0[0] = f64::NAN;
+        let model = AdaBoost::train(&d, 10);
+        assert!(model.evaluate(&d).accuracy > 0.9);
     }
 
     #[test]

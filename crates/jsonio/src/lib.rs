@@ -26,6 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A JSON document tree.
 ///
@@ -200,7 +201,9 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(n) => out.push_str(&n.to_string()),
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Value::Float(n) => write_f64(out, *n),
             Value::Str(s) => write_escaped(out, s),
             Value::Array(items) => {
@@ -289,18 +292,16 @@ impl Value {
 fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(w) = indent {
         out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
+        out.extend(std::iter::repeat_n(' ', w * depth));
     }
 }
 
 fn write_f64(out: &mut String, n: f64) {
     if n.is_finite() {
-        let s = format!("{n}");
+        let start = out.len();
+        let _ = write!(out, "{n}");
         // Keep the float lane on re-parse: `2.0` formats as `2`.
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            out.push_str(&s);
-        } else {
-            out.push_str(&s);
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     } else {
@@ -311,17 +312,22 @@ fn write_f64(out: &mut String, n: f64) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        // Nothing to escape: copy the string in one piece.
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
@@ -711,6 +717,63 @@ mod tests {
         );
         // A whole-valued float renders with `.0` so the lane survives.
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
+    }
+
+    #[test]
+    fn writer_output_is_pinned() {
+        let v = Value::object([
+            ("plain", Value::from("héllo ✓ 😀")),
+            ("esc", Value::from("q\"b\\n\nr\rt\tc\u{1}\u{1f}")),
+            ("k\"ey", Value::Int(i64::MIN)),
+            ("n", Value::array([0i64, -7, i64::MAX])),
+            (
+                "f",
+                Value::array([2.0, 0.25, -3.5, f64::NAN, f64::INFINITY]),
+            ),
+            (
+                "nest",
+                Value::object([
+                    ("e", Value::Array(vec![])),
+                    ("o", Value::Object(vec![])),
+                    ("b", Value::Bool(true)),
+                    ("z", Value::Null),
+                ]),
+            ),
+        ]);
+        let compact = concat!(
+            r#"{"plain":"héllo ✓ 😀","#,
+            r#""esc":"q\"b\\n\nr\rt\tc\u0001\u001f","#,
+            r#""k\"ey":-9223372036854775808,"#,
+            r#""n":[0,-7,9223372036854775807],"#,
+            r#""f":[2.0,0.25,-3.5,null,null],"#,
+            r#""nest":{"e":[],"o":{},"b":true,"z":null}}"#,
+        );
+        assert_eq!(v.to_string(), compact);
+        let pretty = r#"{
+  "plain": "héllo ✓ 😀",
+  "esc": "q\"b\\n\nr\rt\tc\u0001\u001f",
+  "k\"ey": -9223372036854775808,
+  "n": [
+    0,
+    -7,
+    9223372036854775807
+  ],
+  "f": [
+    2.0,
+    0.25,
+    -3.5,
+    null,
+    null
+  ],
+  "nest": {
+    "e": [],
+    "o": {},
+    "b": true,
+    "z": null
+  }
+}
+"#;
+        assert_eq!(v.to_string_pretty(), pretty);
     }
 
     #[test]

@@ -15,19 +15,26 @@
 //! interpreter emits 8-byte-aligned addresses only):
 //!
 //! ```text
-//! addr:  63 ........... 12 | 11 ....... 3 | 2..0
+//! addr:  63 ............ 9 | 8 ........ 3 | 2..0
 //!        page id           | slot in page | 0 (word-aligned)
 //! ```
 //!
-//! Each page shadows 4 KiB of target address space (512 word slots). Pages
-//! live in a grow-only arena (`Vec<Box<Page>>`); a directory keyed with the
-//! in-repo [`fxhash`] hasher maps page ids to arena indices, and a one-entry
-//! cache short-circuits the directory for the overwhelmingly common case of
-//! consecutive accesses landing on the same page. Compared with the seed's
-//! `HashMap<u64, Cell>` ([`HashShadowMap`], kept as the equivalence-test
-//! baseline), a hit costs one shift/mask plus an indexed load instead of a
-//! SipHash probe, and `clear_range` walks slots directly instead of
-//! re-hashing every word.
+//! Each page shadows 512 bytes of target address space (64 word slots, a
+//! 2.5 KiB page of `Option<Cell>`). Pages are this small because much of
+//! what a profiled program touches sits in isolated words: every actor's
+//! stack is `STACK_SPAN` (16 MiB) from the next and every mailbox
+//! `MAILBOX_SPAN` (64 KiB) from the next, and each holds one to three
+//! live words, so a page covering 4 KiB of address space would spend
+//! 20 KiB of shadow on one word. Dense arrays still fill their pages.
+//!
+//! Pages live in a grow-only arena (`Vec<Box<Page>>`); a directory keyed
+//! with the in-repo [`fxhash`] hasher maps page ids to arena indices, and a
+//! one-entry cache short-circuits the directory for the overwhelmingly
+//! common case of consecutive accesses landing on the same page. Compared
+//! with the seed's `HashMap<u64, Cell>` ([`HashShadowMap`], kept as the
+//! equivalence-test baseline), a hit costs one shift/mask plus an indexed
+//! load instead of a SipHash probe, and `clear_range` walks slots directly
+//! instead of re-hashing every word.
 
 use crate::access::Access;
 use fxhash::FxHashMap;
@@ -313,10 +320,10 @@ impl AccessMap for SignatureMap {
     }
 }
 
-/// Word slots per shadow page: one page covers 4 KiB of address space.
-const PAGE_WORDS: usize = 512;
-/// Address bits consumed by the in-page slot (3 word bits + 9 slot bits).
-const PAGE_SHIFT: u32 = 12;
+/// Word slots per shadow page: one page covers 512 bytes of address space.
+const PAGE_WORDS: usize = 64;
+/// Address bits consumed by the in-page slot (3 word bits + 6 slot bits).
+const PAGE_SHIFT: u32 = 9;
 /// Sentinel for the empty page cache.
 const NO_PAGE: u64 = u64::MAX;
 
@@ -333,7 +340,9 @@ type Page = [Option<Cell>; PAGE_WORDS];
 pub struct PerfectMap {
     /// Page id → index into `pages`.
     dir: FxHashMap<u64, u32>,
-    /// Grow-only page arena.
+    /// Grow-only page arena. Boxed so that growing the arena moves
+    /// pointers, not pages: a 10k-actor run holds ~40k pages.
+    #[allow(clippy::vec_box)]
     pages: Vec<Box<Page>>,
     /// Last page touched: `(page id, arena index)`; avoids the directory
     /// probe entirely for same-page runs of accesses.
@@ -445,7 +454,7 @@ impl AccessMap for PerfectMap {
 
     fn clear_range(&mut self, addr: u64, words: u64) {
         // Walk page by page so a frame-sized range costs one directory
-        // probe per 4 KiB instead of one per word.
+        // probe per page instead of one per word.
         let mut word = addr >> 3;
         let end = word + words;
         while word < end {
@@ -777,14 +786,35 @@ mod tests {
         }
         assert_eq!(p.len(), PAGE_WORDS * 3);
         // Clear from mid-first-page to mid-third-page.
-        let start = 0x10_0000 + 100 * 8;
+        let mid = PAGE_WORDS as u64 / 2;
+        let start = 0x10_0000 + mid * 8;
         let words = PAGE_WORDS as u64 * 2;
         p.clear_range(start, words);
-        assert_eq!(p.len(), PAGE_WORDS - 100 + 100);
+        assert_eq!(p.len(), PAGE_WORDS);
         assert!(p.get(start).is_none());
         assert!(p.get(start + (words - 1) * 8).is_none());
         assert!(p.get(start + words * 8).is_some());
-        assert!(p.get(0x10_0000 + 99 * 8).is_some());
+        assert!(p.get(0x10_0000 + (mid - 1) * 8).is_some());
+    }
+
+    #[test]
+    fn perfect_map_sparse_words_cost_one_small_page_each() {
+        // One word per actor stack: the footprint is a page per word plus
+        // the directory, not a page per 4 KiB of address space.
+        let mut p = PerfectMap::new();
+        let n = 1_000u64;
+        for k in 0..n {
+            p.set(interp::STACK_BASE + k * interp::STACK_SPAN, cell(k as u32));
+        }
+        assert_eq!(p.len(), n as usize);
+        assert_eq!(p.num_pages(), n as usize);
+        let dir = p.dir.capacity() * std::mem::size_of::<(u64, u32)>();
+        assert!(
+            p.bytes() <= n as usize * std::mem::size_of::<Page>() + dir,
+            "{} bytes for {n} words",
+            p.bytes()
+        );
+        assert!(std::mem::size_of::<Page>() <= 3 << 10, "pages of ~2.5 KiB");
     }
 
     #[test]

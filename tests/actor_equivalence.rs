@@ -128,9 +128,9 @@ fn engines_agree_on_actor_workloads() {
 
 #[test]
 fn actors_10k_deterministic_under_budget() {
-    // The tier's acceptance pin: 10k actors complete under a 256M budget,
-    // and two runs with the same scheduler seed reproduce the dependence
-    // set, step count, and schedule (channel matrix) exactly.
+    // The tier's acceptance pin: 10k actors complete exact under a 256M
+    // budget, and two runs with the same scheduler seed reproduce the
+    // dependence set, step count, and schedule (channel matrix) exactly.
     let p = workloads::by_name("actors_10k").unwrap().program().unwrap();
     let cfg = || profiler::ProfileConfig {
         engine: EngineKind::auto_for(&p),
@@ -152,6 +152,19 @@ fn actors_10k_deterministic_under_budget() {
     let actors = a.actors.as_ref().expect("actors block present");
     assert_eq!(actors.spawned, 10_002);
     assert_eq!(actors.peak_live, 10_001, "all echoes live before draining");
+    // The shadow costs what the actors touch, so the budget never forces
+    // the run off the exact tier.
+    let res = a.resource.as_ref().expect("governed run reports resources");
+    assert!(
+        res.degradation_steps.is_empty(),
+        "degraded under 256M: {:?}",
+        res.degradation_steps
+    );
+    assert!(
+        res.peak_tracked_bytes <= 128 << 20,
+        "peak tracked {} bytes",
+        res.peak_tracked_bytes
+    );
 }
 
 #[test]
