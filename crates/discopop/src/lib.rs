@@ -106,9 +106,14 @@ impl Report {
         report::ReportDoc::from_report(program, self)
     }
 
-    /// The report as pretty-printed, versioned JSON.
+    /// The report as pretty-printed, versioned JSON, streamed straight to
+    /// text: byte-identical to
+    /// `self.to_doc(program).to_json().to_string_pretty()` without
+    /// building the tree.
     pub fn to_json_string(&self, program: &interp::Program) -> String {
-        self.to_doc(program).to_json().to_string_pretty()
+        let mut w = jsonio::Writer::pretty();
+        jsonio::WriteJson::write_json(&self.to_doc(program), &mut w);
+        w.into_string()
     }
 }
 

@@ -45,7 +45,7 @@
 //! | `overloaded` | admission control shed the job; honor `retry_after_ms` | yes, after backoff |
 //! | `shutting_down` | the daemon is draining and accepts no new work | yes, elsewhere/later |
 
-use jsonio::Value;
+use jsonio::{Value, WriteJson, Writer};
 
 /// Version of this wire protocol, reported by `status`.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -367,73 +367,13 @@ impl Response {
         }
     }
 
-    /// Serialize to a JSON tree (render + `\n` = one wire message).
+    /// Serialize to a JSON tree: the [`WriteJson`] walk run into a tree
+    /// target. The daemon runs the same walk straight into wire text,
+    /// borrowing the report instead of cloning it.
     pub fn to_json(&self) -> Value {
-        match self {
-            Response::Report {
-                id,
-                cached,
-                elapsed_ms,
-                report,
-            } => Value::object([
-                ("type", Value::from("report")),
-                ("id", Value::from(*id)),
-                ("cached", Value::from(*cached)),
-                ("elapsed_ms", Value::from(*elapsed_ms)),
-                ("report", report.clone()),
-            ]),
-            Response::Error(e) => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::from("error")),
-                    ("id".to_string(), Value::from(e.id)),
-                    ("kind".to_string(), Value::from(e.kind.code())),
-                    ("message".to_string(), Value::from(e.message.as_str())),
-                ];
-                if let Some(ms) = e.retry_after_ms {
-                    fields.push(("retry_after_ms".to_string(), Value::from(ms)));
-                }
-                if let Some(p) = &e.partial {
-                    fields.push((
-                        "partial".to_string(),
-                        Value::object([
-                            ("steps", Value::from(p.steps)),
-                            ("dependences", Value::from(p.dependences)),
-                        ]),
-                    ));
-                }
-                Value::Object(fields)
-            }
-            Response::Status { id, status } => Value::object([
-                ("type", Value::from("status")),
-                ("id", Value::from(*id)),
-                (
-                    "status",
-                    Value::object([
-                        ("protocol", Value::from(status.protocol)),
-                        ("accepting", Value::from(status.accepting)),
-                        ("uptime_ms", Value::from(status.uptime_ms)),
-                        ("workers", Value::from(status.workers)),
-                        ("queue_depth", Value::from(status.queue_depth)),
-                        ("queue_cap", Value::from(status.queue_cap)),
-                        ("in_flight", Value::from(status.in_flight)),
-                        ("jobs_done", Value::from(status.jobs_done)),
-                        ("jobs_failed", Value::from(status.jobs_failed)),
-                        ("jobs_shed", Value::from(status.jobs_shed)),
-                        ("worker_recoveries", Value::from(status.worker_recoveries)),
-                        ("conn_recoveries", Value::from(status.conn_recoveries)),
-                        ("cache_entries", Value::from(status.cache_entries)),
-                        ("cache_bytes", Value::from(status.cache_bytes)),
-                        ("cache_hits", Value::from(status.cache_hits)),
-                        ("cache_misses", Value::from(status.cache_misses)),
-                        ("cache_evictions", Value::from(status.cache_evictions)),
-                    ]),
-                ),
-            ]),
-            Response::ShutdownAck { id } => Value::object([
-                ("type", Value::from("shutting_down")),
-                ("id", Value::from(*id)),
-            ]),
-        }
+        let mut w = Writer::tree();
+        self.write_json(&mut w);
+        w.into_value()
     }
 
     /// Deserialize a response.
@@ -499,6 +439,71 @@ impl Response {
             "shutting_down" => Ok(Response::ShutdownAck { id }),
             other => Err(format!("unknown response type `{other}`")),
         }
+    }
+}
+
+impl WriteJson for Response {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        match self {
+            Response::Report {
+                id,
+                cached,
+                elapsed_ms,
+                report,
+            } => {
+                w.field("type", "report");
+                w.field("id", id);
+                w.field("cached", cached);
+                w.field("elapsed_ms", elapsed_ms);
+                w.field("report", report);
+            }
+            Response::Error(e) => {
+                w.field("type", "error");
+                w.field("id", &e.id);
+                w.field("kind", e.kind.code());
+                w.field("message", &e.message);
+                if let Some(ms) = &e.retry_after_ms {
+                    w.field("retry_after_ms", ms);
+                }
+                if let Some(p) = &e.partial {
+                    w.key("partial");
+                    w.begin_object();
+                    w.field("steps", &p.steps);
+                    w.field("dependences", &p.dependences);
+                    w.end_object();
+                }
+            }
+            Response::Status { id, status } => {
+                w.field("type", "status");
+                w.field("id", id);
+                w.key("status");
+                w.begin_object();
+                w.field("protocol", &status.protocol);
+                w.field("accepting", &status.accepting);
+                w.field("uptime_ms", &status.uptime_ms);
+                w.field("workers", &status.workers);
+                w.field("queue_depth", &status.queue_depth);
+                w.field("queue_cap", &status.queue_cap);
+                w.field("in_flight", &status.in_flight);
+                w.field("jobs_done", &status.jobs_done);
+                w.field("jobs_failed", &status.jobs_failed);
+                w.field("jobs_shed", &status.jobs_shed);
+                w.field("worker_recoveries", &status.worker_recoveries);
+                w.field("conn_recoveries", &status.conn_recoveries);
+                w.field("cache_entries", &status.cache_entries);
+                w.field("cache_bytes", &status.cache_bytes);
+                w.field("cache_hits", &status.cache_hits);
+                w.field("cache_misses", &status.cache_misses);
+                w.field("cache_evictions", &status.cache_evictions);
+                w.end_object();
+            }
+            Response::ShutdownAck { id } => {
+                w.field("type", "shutting_down");
+                w.field("id", id);
+            }
+        }
+        w.end_object();
     }
 }
 
@@ -607,6 +612,10 @@ mod tests {
             let wire = resp.to_json().to_string();
             let back = Response::from_json(&Value::parse(&wire).unwrap()).unwrap();
             assert_eq!(back, resp, "{wire}");
+            // The daemon streams the same walk to text without the tree.
+            let mut w = Writer::compact();
+            resp.write_json(&mut w);
+            assert_eq!(w.into_string(), wire);
         }
     }
 

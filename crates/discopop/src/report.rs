@@ -4,9 +4,11 @@
 //! only mean something next to the [`interp::Program`] that produced them,
 //! and the workspace's `serde` is an offline no-op shim — so serialization
 //! goes through explicit mirror types instead: [`ReportDoc`] resolves every
-//! id to its name, carries a `schema_version`, and converts losslessly to
-//! and from [`jsonio::Value`]. Downstream tools consume the JSON; this
-//! module is the one place its shape is defined.
+//! id to its name and carries a `schema_version`. Each mirror type writes
+//! itself in one [`WriteJson`] walk — streamed straight to text by
+//! [`crate::Report::to_json_string`], or built into a [`jsonio::Value`] by
+//! [`ReportDoc::to_json`] — and reads back from a `Value`. Downstream tools
+//! consume the JSON; this module is the one place its shape is defined.
 //!
 //! # Schema (version 6)
 //!
@@ -77,8 +79,9 @@
 use crate::Report;
 use discovery::ranking::SuggestionTarget;
 use discovery::{Pattern, SpmdKind};
-use jsonio::Value;
-use profiler::{Dep, PetNodeKind};
+use jsonio::{Value, WriteJson, Writer};
+use profiler::{Dep, DepType, PetNodeKind, SrcLoc};
+use std::sync::Arc;
 
 /// Version stamp of the JSON schema written by [`ReportDoc::to_json`].
 ///
@@ -203,15 +206,6 @@ fn pair_u32(v: &Value, what: &str) -> DocResult<(u32, u32)> {
     }
 }
 
-fn spans_doc(spans: &[(u32, u32)]) -> Value {
-    Value::Array(
-        spans
-            .iter()
-            .map(|&(a, b)| Value::array([a, b]))
-            .collect::<Vec<_>>(),
-    )
-}
-
 fn spans_from(v: &Value, key: &str) -> DocResult<Vec<(u32, u32)>> {
     get_array(v, key)?
         .iter()
@@ -219,18 +213,88 @@ fn spans_from(v: &Value, key: &str) -> DocResult<Vec<(u32, u32)>> {
         .collect()
 }
 
-/// One merged dependence, fully name-resolved. `sink`/`source` use the
-/// DiscoPoP `file:line` notation.
+/// A source location as DiscoPoP writes it, `file:line`, without
+/// allocating.
+fn write_loc(w: &mut Writer, loc: SrcLoc) {
+    fn digits(buf: &mut [u8], mut end: usize, mut n: u32) -> usize {
+        loop {
+            end -= 1;
+            buf[end] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return end;
+            }
+        }
+    }
+    let mut buf = [0u8; 21];
+    let mut start = digits(&mut buf, 21, loc.line);
+    start -= 1;
+    buf[start] = b':';
+    start = digits(&mut buf, start, loc.file);
+    w.str(std::str::from_utf8(&buf[start..]).unwrap_or_default());
+}
+
+/// Inverse of [`write_loc`]: `file:line`, both decimal `u32`s.
+fn get_loc(v: &Value, key: &str) -> DocResult<SrcLoc> {
+    let text = field(v, key)?
+        .as_str()
+        .ok_or_else(|| SchemaError(format!("`{key}` must be a string")))?;
+    // Digits only: `parse` alone would also take a leading `+`.
+    let number = |s: &str| {
+        if s.bytes().all(|b| b.is_ascii_digit()) {
+            s.parse::<u32>().ok()
+        } else {
+            None
+        }
+    };
+    match text.split_once(':').map(|(f, l)| (number(f), number(l))) {
+        Some((Some(file), Some(line))) => Ok(SrcLoc { file, line }),
+        _ => err(format!("`{key}` must be `file:line`, got `{text}`")),
+    }
+}
+
+/// Variable names shared per symbol: every [`DepDoc`] on one variable
+/// holds the same `Arc<str>`.
+struct VarNames<'p> {
+    program: &'p interp::Program,
+    names: Vec<Option<Arc<str>>>,
+    star: Arc<str>,
+}
+
+impl<'p> VarNames<'p> {
+    fn new(program: &'p interp::Program) -> Self {
+        VarNames {
+            program,
+            names: vec![None; program.num_symbols()],
+            star: Arc::from("*"),
+        }
+    }
+
+    fn get(&mut self, var: u32) -> Arc<str> {
+        if var == u32::MAX {
+            return self.star.clone();
+        }
+        let program = self.program;
+        self.names[var as usize]
+            .get_or_insert_with(|| Arc::from(program.symbol(var)))
+            .clone()
+    }
+}
+
+/// One merged dependence, fully name-resolved. `sink`/`source` are
+/// written in the DiscoPoP `file:line` notation and `ty` as `RAW` /
+/// `WAR` / `WAW` / `INIT`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DepDoc {
-    /// Location of the later access (`file:line`).
-    pub sink: String,
-    /// `RAW` / `WAR` / `WAW` / `INIT`.
-    pub ty: String,
-    /// Location of the earlier access (`file:line`).
-    pub source: String,
-    /// Variable name (`*` for INIT bookkeeping entries).
-    pub var: String,
+    /// Location of the later access.
+    pub sink: SrcLoc,
+    /// Dependence type.
+    pub ty: DepType,
+    /// Location of the earlier access.
+    pub source: SrcLoc,
+    /// Variable name (`*` for INIT bookkeeping entries), shared by every
+    /// entry on the same variable.
+    pub var: Arc<str>,
     /// Thread that executed the sink.
     pub sink_thread: u32,
     /// Thread that executed the source.
@@ -244,17 +308,12 @@ pub struct DepDoc {
 }
 
 impl DepDoc {
-    fn from_dep(program: &interp::Program, d: &Dep, count: u64) -> DepDoc {
-        let var = if d.var == u32::MAX {
-            "*".to_string()
-        } else {
-            program.symbol(d.var).to_string()
-        };
+    fn from_dep(names: &mut VarNames<'_>, d: &Dep, count: u64) -> DepDoc {
         DepDoc {
-            sink: d.sink.to_string(),
-            ty: d.ty.to_string(),
-            source: d.source.to_string(),
-            var,
+            sink: d.sink,
+            ty: d.ty,
+            source: d.source,
+            var: names.get(d.var),
             sink_thread: d.sink_thread,
             source_thread: d.source_thread,
             carried_by: d.carried_by,
@@ -263,32 +322,16 @@ impl DepDoc {
         }
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("sink", Value::from(self.sink.as_str())),
-            ("type", Value::from(self.ty.as_str())),
-            ("source", Value::from(self.source.as_str())),
-            ("var", Value::from(self.var.as_str())),
-            ("sink_thread", Value::from(self.sink_thread)),
-            ("source_thread", Value::from(self.source_thread)),
-            (
-                "carried_by",
-                match self.carried_by {
-                    Some((f, r)) => Value::array([f, r]),
-                    None => Value::Null,
-                },
-            ),
-            ("race_hint", Value::from(self.race_hint)),
-            ("count", Value::from(self.count)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<DepDoc> {
+        let ty = field(v, "type")?
+            .as_str()
+            .ok_or_else(|| SchemaError("`type` must be a string".into()))?;
         Ok(DepDoc {
-            sink: get_str(v, "sink")?,
-            ty: get_str(v, "type")?,
-            source: get_str(v, "source")?,
-            var: get_str(v, "var")?,
+            sink: get_loc(v, "sink")?,
+            ty: DepType::parse(ty)
+                .ok_or_else(|| SchemaError(format!("unknown dependence type `{ty}`")))?,
+            source: get_loc(v, "source")?,
+            var: Arc::from(get_str(v, "var")?),
             sink_thread: get_u32(v, "sink_thread")?,
             source_thread: get_u32(v, "source_thread")?,
             carried_by: match field(v, "carried_by")? {
@@ -298,6 +341,24 @@ impl DepDoc {
             race_hint: get_bool(v, "race_hint")?,
             count: get_u64(v, "count")?,
         })
+    }
+}
+
+impl WriteJson for DepDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.key("sink");
+        write_loc(w, self.sink);
+        w.field("type", self.ty.as_str());
+        w.key("source");
+        write_loc(w, self.source);
+        w.field("var", &self.var);
+        w.field("sink_thread", &self.sink_thread);
+        w.field("source_thread", &self.source_thread);
+        w.field("carried_by", &self.carried_by);
+        w.field("race_hint", &self.race_hint);
+        w.field("count", &self.count);
+        w.end_object();
     }
 }
 
@@ -349,22 +410,6 @@ impl PetNodeDoc {
         }
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("kind", Value::from(self.kind.as_str())),
-            ("name", Value::from(self.name.as_str())),
-            ("entries", Value::from(self.entries)),
-            ("iters", Value::from(self.iters)),
-            ("dyn_instrs", Value::from(self.dyn_instrs)),
-            ("start_line", Value::from(self.start_line)),
-            ("end_line", Value::from(self.end_line)),
-            (
-                "children",
-                Value::Array(self.children.iter().map(|&c| Value::from(c)).collect()),
-            ),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<PetNodeDoc> {
         Ok(PetNodeDoc {
             kind: get_str(v, "kind")?,
@@ -382,6 +427,21 @@ impl PetNodeDoc {
                 })
                 .collect::<DocResult<_>>()?,
         })
+    }
+}
+
+impl WriteJson for PetNodeDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("kind", &self.kind);
+        w.field("name", &self.name);
+        w.field("entries", &self.entries);
+        w.field("iters", &self.iters);
+        w.field("dyn_instrs", &self.dyn_instrs);
+        w.field("start_line", &self.start_line);
+        w.field("end_line", &self.end_line);
+        w.field("children", &self.children);
+        w.end_object();
     }
 }
 
@@ -408,27 +468,6 @@ pub struct ParallelDoc {
 }
 
 impl ParallelDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("chunks", Value::from(self.chunks)),
-            ("rebalances", Value::from(self.rebalances)),
-            ("combined", Value::from(self.combined)),
-            ("merges", Value::from(self.merges)),
-            ("queue_stalls", Value::from(self.queue_stalls)),
-            ("spawned_workers", Value::from(self.spawned_workers)),
-            ("worker_recoveries", Value::from(self.worker_recoveries)),
-            (
-                "worker_processed",
-                Value::Array(
-                    self.worker_processed
-                        .iter()
-                        .map(|&w| Value::from(w))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<ParallelDoc> {
         Ok(ParallelDoc {
             chunks: get_u64(v, "chunks")?,
@@ -447,6 +486,21 @@ impl ParallelDoc {
                 })
                 .collect::<DocResult<_>>()?,
         })
+    }
+}
+
+impl WriteJson for ParallelDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("chunks", &self.chunks);
+        w.field("rebalances", &self.rebalances);
+        w.field("combined", &self.combined);
+        w.field("merges", &self.merges);
+        w.field("queue_stalls", &self.queue_stalls);
+        w.field("spawned_workers", &self.spawned_workers);
+        w.field("worker_recoveries", &self.worker_recoveries);
+        w.field("worker_processed", &self.worker_processed);
+        w.end_object();
     }
 }
 
@@ -469,23 +523,6 @@ pub struct DegradationStepDoc {
 }
 
 impl DegradationStepDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("from", Value::from(self.from.as_str())),
-            ("to", Value::from(self.to.as_str())),
-            ("bytes_before", Value::from(self.bytes_before)),
-            ("bytes_after", Value::from(self.bytes_after)),
-            (
-                "affected",
-                match self.affected {
-                    Some((lo, hi)) => Value::array([lo, hi]),
-                    None => Value::Null,
-                },
-            ),
-            ("merged_slots", Value::from(self.merged_slots)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<DegradationStepDoc> {
         let affected = match field(v, "affected")? {
             Value::Null => None,
@@ -505,6 +542,19 @@ impl DegradationStepDoc {
             affected,
             merged_slots: get_u64(v, "merged_slots")?,
         })
+    }
+}
+
+impl WriteJson for DegradationStepDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("from", &self.from);
+        w.field("to", &self.to);
+        w.field("bytes_before", &self.bytes_before);
+        w.field("bytes_after", &self.bytes_after);
+        w.field("affected", &self.affected);
+        w.field("merged_slots", &self.merged_slots);
+        w.end_object();
     }
 }
 
@@ -528,25 +578,6 @@ pub struct ResourceDoc {
 }
 
 impl ResourceDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("budget_bytes", Value::from(self.budget_bytes)),
-            ("deadline_ms", Value::from(self.deadline_ms)),
-            ("peak_tracked_bytes", Value::from(self.peak_tracked_bytes)),
-            (
-                "degradation_steps",
-                Value::Array(
-                    self.degradation_steps
-                        .iter()
-                        .map(DegradationStepDoc::to_json)
-                        .collect(),
-                ),
-            ),
-            ("fp_rate_estimate", Value::Float(self.fp_rate_estimate)),
-            ("deadline_hit", Value::from(self.deadline_hit)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<ResourceDoc> {
         let opt_u64 = |key: &str| -> DocResult<Option<u64>> {
             match field(v, key)? {
@@ -592,6 +623,19 @@ impl ResourceDoc {
     }
 }
 
+impl WriteJson for ResourceDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("budget_bytes", &self.budget_bytes);
+        w.field("deadline_ms", &self.deadline_ms);
+        w.field("peak_tracked_bytes", &self.peak_tracked_bytes);
+        w.field("degradation_steps", &self.degradation_steps);
+        w.field("fp_rate_estimate", &self.fp_rate_estimate);
+        w.field("deadline_hit", &self.deadline_hit);
+        w.end_object();
+    }
+}
+
 /// Affine-skip-tier accounting (schema ≥ 5). Written by every v5
 /// document; absent in older documents and `None` when reading them.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -626,26 +670,6 @@ impl SummaryDoc {
         }
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("loops_skipped", Value::from(self.loops_skipped)),
-            ("cycles", Value::from(self.cycles)),
-            (
-                "synthesized_accesses",
-                Value::from(self.synthesized_accesses),
-            ),
-            (
-                "fallback_reasons",
-                Value::object([
-                    ("budget", Value::from(self.fallback_budget)),
-                    ("precondition", Value::from(self.fallback_precondition)),
-                    ("fault", Value::from(self.fallback_fault)),
-                ]),
-            ),
-            ("dispatches", Value::from(self.dispatches)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<SummaryDoc> {
         let reasons = field(v, "fallback_reasons")?;
         Ok(SummaryDoc {
@@ -657,6 +681,23 @@ impl SummaryDoc {
             fallback_fault: get_u64(reasons, "fault")?,
             dispatches: get_u64(v, "dispatches")?,
         })
+    }
+}
+
+impl WriteJson for SummaryDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("loops_skipped", &self.loops_skipped);
+        w.field("cycles", &self.cycles);
+        w.field("synthesized_accesses", &self.synthesized_accesses);
+        w.key("fallback_reasons");
+        w.begin_object();
+        w.field("budget", &self.fallback_budget);
+        w.field("precondition", &self.fallback_precondition);
+        w.field("fault", &self.fallback_fault);
+        w.end_object();
+        w.field("dispatches", &self.dispatches);
+        w.end_object();
     }
 }
 
@@ -683,7 +724,10 @@ pub struct ActorsDoc {
 
 impl ActorsDoc {
     /// FNV-1a over the `(from, to, messages)` triples in sorted order:
-    /// equal matrices hash equal across runs and builds.
+    /// equal matrices hash equal across runs and builds. The hash is
+    /// saturated at `i64::MAX`, the largest value the JSON integer lane
+    /// carries, so the digest a doc holds is the digest its document
+    /// says.
     pub fn digest_channels(channels: &[(u32, u32, u64)]) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |x: u64| {
@@ -697,7 +741,7 @@ impl ActorsDoc {
             mix(to as u64);
             mix(n);
         }
-        h
+        h.min(i64::MAX as u64)
     }
 
     fn from_summary(a: &profiler::ActorSummary) -> ActorsDoc {
@@ -709,31 +753,6 @@ impl ActorsDoc {
             channel_digest: Self::digest_channels(&a.channels),
             channels: a.channels.clone(),
         }
-    }
-
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("spawned", Value::from(self.spawned)),
-            ("peak_live", Value::from(self.peak_live)),
-            ("sent", Value::from(self.sent)),
-            ("received", Value::from(self.received)),
-            (
-                "channels",
-                Value::Array(
-                    self.channels
-                        .iter()
-                        .map(|&(from, to, n)| {
-                            Value::object([
-                                ("from", Value::from(from)),
-                                ("to", Value::from(to)),
-                                ("messages", Value::from(n)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("channel_digest", Value::from(self.channel_digest)),
-        ])
     }
 
     fn from_json(v: &Value) -> DocResult<ActorsDoc> {
@@ -754,6 +773,28 @@ impl ActorsDoc {
                 .collect::<DocResult<_>>()?,
             channel_digest: get_u64(v, "channel_digest")?,
         })
+    }
+}
+
+impl WriteJson for ActorsDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("spawned", &self.spawned);
+        w.field("peak_live", &self.peak_live);
+        w.field("sent", &self.sent);
+        w.field("received", &self.received);
+        w.key("channels");
+        w.begin_array();
+        for &(from, to, messages) in &self.channels {
+            w.begin_object();
+            w.field("from", &from);
+            w.field("to", &to);
+            w.field("messages", &messages);
+            w.end_object();
+        }
+        w.end_array();
+        w.field("channel_digest", &self.channel_digest);
+        w.end_object();
     }
 }
 
@@ -788,60 +829,6 @@ pub struct ProfileDoc {
 }
 
 impl ProfileDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("steps", Value::from(self.steps)),
-            ("accesses", Value::from(self.accesses)),
-            ("dependences_found", Value::from(self.dependences_found)),
-            ("profiler_bytes", Value::from(self.profiler_bytes)),
-            (
-                "printed",
-                Value::Array(
-                    self.printed
-                        .iter()
-                        .map(|s| Value::from(s.as_str()))
-                        .collect(),
-                ),
-            ),
-            (
-                "dependences",
-                Value::Array(self.dependences.iter().map(DepDoc::to_json).collect()),
-            ),
-            (
-                "pet",
-                Value::Array(self.pet.iter().map(PetNodeDoc::to_json).collect()),
-            ),
-            (
-                "parallel",
-                match &self.parallel {
-                    Some(p) => p.to_json(),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "resource",
-                match &self.resource {
-                    Some(r) => r.to_json(),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "summary",
-                match &self.summary {
-                    Some(s) => s.to_json(),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "actors",
-                match &self.actors {
-                    Some(a) => a.to_json(),
-                    None => Value::Null,
-                },
-            ),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<ProfileDoc> {
         Ok(ProfileDoc {
             steps: get_u64(v, "steps")?,
@@ -881,6 +868,24 @@ impl ProfileDoc {
     }
 }
 
+impl WriteJson for ProfileDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("steps", &self.steps);
+        w.field("accesses", &self.accesses);
+        w.field("dependences_found", &self.dependences_found);
+        w.field("profiler_bytes", &self.profiler_bytes);
+        w.field("printed", &self.printed);
+        w.field("dependences", &self.dependences);
+        w.field("pet", &self.pet);
+        w.field("parallel", &self.parallel);
+        w.field("resource", &self.resource);
+        w.field("summary", &self.summary);
+        w.field("actors", &self.actors);
+        w.end_object();
+    }
+}
+
 /// One classified loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoopDoc {
@@ -907,32 +912,6 @@ pub struct LoopDoc {
 }
 
 impl LoopDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("func", Value::from(self.func)),
-            ("region", Value::from(self.region)),
-            ("start_line", Value::from(self.start_line)),
-            ("end_line", Value::from(self.end_line)),
-            ("iters", Value::from(self.iters)),
-            ("dyn_instrs", Value::from(self.dyn_instrs)),
-            ("class", Value::from(self.class.as_str())),
-            (
-                "blocking",
-                Value::Array(self.blocking.iter().map(DepDoc::to_json).collect()),
-            ),
-            (
-                "reduction_vars",
-                Value::Array(
-                    self.reduction_vars
-                        .iter()
-                        .map(|s| Value::from(s.as_str()))
-                        .collect(),
-                ),
-            ),
-            ("pipeline_stages", Value::from(self.pipeline_stages)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<LoopDoc> {
         Ok(LoopDoc {
             func: get_u32(v, "func")?,
@@ -952,6 +931,23 @@ impl LoopDoc {
     }
 }
 
+impl WriteJson for LoopDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("func", &self.func);
+        w.field("region", &self.region);
+        w.field("start_line", &self.start_line);
+        w.field("end_line", &self.end_line);
+        w.field("iters", &self.iters);
+        w.field("dyn_instrs", &self.dyn_instrs);
+        w.field("class", &self.class);
+        w.field("blocking", &self.blocking);
+        w.field("reduction_vars", &self.reduction_vars);
+        w.field("pipeline_stages", &self.pipeline_stages);
+        w.end_object();
+    }
+}
+
 /// One SPMD task suggestion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpmdDoc {
@@ -968,27 +964,6 @@ pub struct SpmdDoc {
 }
 
 impl SpmdDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("kind", Value::from(self.kind.as_str())),
-            ("func", Value::from(self.func)),
-            (
-                "lines",
-                Value::Array(self.lines.iter().map(|&l| Value::from(l)).collect()),
-            ),
-            (
-                "callees",
-                Value::Array(
-                    self.callees
-                        .iter()
-                        .map(|s| Value::from(s.as_str()))
-                        .collect(),
-                ),
-            ),
-            ("loop_line", Value::from(self.loop_line)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<SpmdDoc> {
         Ok(SpmdDoc {
             kind: get_str(v, "kind")?,
@@ -1015,6 +990,18 @@ impl SpmdDoc {
     }
 }
 
+impl WriteJson for SpmdDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("kind", &self.kind);
+        w.field("func", &self.func);
+        w.field("lines", &self.lines);
+        w.field("callees", &self.callees);
+        w.field("loop_line", &self.loop_line);
+        w.end_object();
+    }
+}
+
 /// One MPMD (fork-join) task set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MpmdDoc {
@@ -1025,27 +1012,6 @@ pub struct MpmdDoc {
 }
 
 impl MpmdDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("func", Value::from(self.func)),
-            (
-                "tasks",
-                Value::Array(
-                    self.tasks
-                        .iter()
-                        .map(|&(s, e, w)| {
-                            Value::object([
-                                ("start_line", Value::from(s)),
-                                ("end_line", Value::from(e)),
-                                ("weight", Value::from(w)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<MpmdDoc> {
         Ok(MpmdDoc {
             func: get_u32(v, "func")?,
@@ -1060,6 +1026,24 @@ impl MpmdDoc {
                 })
                 .collect::<DocResult<_>>()?,
         })
+    }
+}
+
+impl WriteJson for MpmdDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("func", &self.func);
+        w.key("tasks");
+        w.begin_array();
+        for &(start_line, end_line, weight) in &self.tasks {
+            w.begin_object();
+            w.field("start_line", &start_line);
+            w.field("end_line", &end_line);
+            w.field("weight", &weight);
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
     }
 }
 
@@ -1102,38 +1086,6 @@ pub struct RankedDoc {
 }
 
 impl RankedDoc {
-    fn to_json(&self) -> Value {
-        let target = match &self.target {
-            TargetDoc::Loop {
-                func,
-                region,
-                start_line,
-                class,
-            } => Value::object([
-                ("kind", Value::from("loop")),
-                ("func", Value::from(*func)),
-                ("region", Value::from(*region)),
-                ("start_line", Value::from(*start_line)),
-                ("class", Value::from(class.as_str())),
-            ]),
-            TargetDoc::TaskSet { func, spans } => Value::object([
-                ("kind", Value::from("task_set")),
-                ("func", Value::from(*func)),
-                ("spans", spans_doc(spans)),
-            ]),
-        };
-        Value::object([
-            ("target", target),
-            (
-                "instruction_coverage",
-                Value::Float(self.instruction_coverage),
-            ),
-            ("local_speedup", Value::Float(self.local_speedup)),
-            ("cu_imbalance", Value::Float(self.cu_imbalance)),
-            ("score", Value::Float(self.score)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<RankedDoc> {
         let t = field(v, "target")?;
         let target = match get_str(t, "kind")?.as_str() {
@@ -1156,6 +1108,39 @@ impl RankedDoc {
             cu_imbalance: get_f64(v, "cu_imbalance")?,
             score: get_f64(v, "score")?,
         })
+    }
+}
+
+impl WriteJson for RankedDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.key("target");
+        w.begin_object();
+        match &self.target {
+            TargetDoc::Loop {
+                func,
+                region,
+                start_line,
+                class,
+            } => {
+                w.field("kind", "loop");
+                w.field("func", func);
+                w.field("region", region);
+                w.field("start_line", start_line);
+                w.field("class", class);
+            }
+            TargetDoc::TaskSet { func, spans } => {
+                w.field("kind", "task_set");
+                w.field("func", func);
+                w.field("spans", spans);
+            }
+        }
+        w.end_object();
+        w.field("instruction_coverage", &self.instruction_coverage);
+        w.field("local_speedup", &self.local_speedup);
+        w.field("cu_imbalance", &self.cu_imbalance);
+        w.field("score", &self.score);
+        w.end_object();
     }
 }
 
@@ -1204,20 +1189,6 @@ impl PatternDoc {
         doc
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("name", Value::from(self.name.as_str())),
-            ("loop_line", Value::from(self.loop_line)),
-            ("width", Value::from(self.width)),
-            ("stages", Value::from(self.stages)),
-            (
-                "vars",
-                Value::Array(self.vars.iter().map(|s| Value::from(s.as_str())).collect()),
-            ),
-            ("spans", spans_doc(&self.spans)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<PatternDoc> {
         let opt_u64 = |key: &str| -> DocResult<Option<u64>> {
             match field(v, key)? {
@@ -1237,6 +1208,19 @@ impl PatternDoc {
             vars: get_str_array(v, "vars")?,
             spans: spans_from(v, "spans")?,
         })
+    }
+}
+
+impl WriteJson for PatternDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("name", &self.name);
+        w.field("loop_line", &self.loop_line);
+        w.field("width", &self.width);
+        w.field("stages", &self.stages);
+        w.field("vars", &self.vars);
+        w.field("spans", &self.spans);
+        w.end_object();
     }
 }
 
@@ -1270,23 +1254,6 @@ pub struct StaticLoopDoc {
 }
 
 impl StaticLoopDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("func", Value::from(self.func)),
-            ("func_name", Value::from(self.func_name.as_str())),
-            ("region", Value::from(self.region)),
-            ("start_line", Value::from(self.start_line)),
-            ("end_line", Value::from(self.end_line)),
-            ("mem_ops", Value::from(self.mem_ops)),
-            ("affine_ops", Value::from(self.affine_ops)),
-            ("has_iv", Value::from(self.has_iv)),
-            ("trip_count", Value::from(self.trip_count)),
-            ("tested_pairs", Value::from(self.tested_pairs)),
-            ("proven_pairs", Value::from(self.proven_pairs)),
-            ("doall_candidate", Value::from(self.doall_candidate)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<StaticLoopDoc> {
         Ok(StaticLoopDoc {
             func: get_u32(v, "func")?,
@@ -1310,6 +1277,25 @@ impl StaticLoopDoc {
     }
 }
 
+impl WriteJson for StaticLoopDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("func", &self.func);
+        w.field("func_name", &self.func_name);
+        w.field("region", &self.region);
+        w.field("start_line", &self.start_line);
+        w.field("end_line", &self.end_line);
+        w.field("mem_ops", &self.mem_ops);
+        w.field("affine_ops", &self.affine_ops);
+        w.field("has_iv", &self.has_iv);
+        w.field("trip_count", &self.trip_count);
+        w.field("tested_pairs", &self.tested_pairs);
+        w.field("proven_pairs", &self.proven_pairs);
+        w.field("doall_candidate", &self.doall_candidate);
+        w.end_object();
+    }
+}
+
 /// One statically-proven independence claim (schema ≥ 4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClaimDoc {
@@ -1326,16 +1312,6 @@ pub struct ClaimDoc {
 }
 
 impl ClaimDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("func", Value::from(self.func)),
-            ("region", Value::from(self.region)),
-            ("var", Value::from(self.var.as_str())),
-            ("line_a", Value::from(self.line_a)),
-            ("line_b", Value::from(self.line_b)),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<ClaimDoc> {
         Ok(ClaimDoc {
             func: get_u32(v, "func")?,
@@ -1344,6 +1320,18 @@ impl ClaimDoc {
             line_a: get_u32(v, "line_a")?,
             line_b: get_u32(v, "line_b")?,
         })
+    }
+}
+
+impl WriteJson for ClaimDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("func", &self.func);
+        w.field("region", &self.region);
+        w.field("var", &self.var);
+        w.field("line_a", &self.line_a);
+        w.field("line_b", &self.line_b);
+        w.end_object();
     }
 }
 
@@ -1364,16 +1352,6 @@ pub struct LintDoc {
 }
 
 impl LintDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("kind", Value::from(self.kind.as_str())),
-            ("func", Value::from(self.func.as_str())),
-            ("var", Value::from(self.var.as_str())),
-            ("line", Value::from(self.line)),
-            ("message", Value::from(self.message.as_str())),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<LintDoc> {
         Ok(LintDoc {
             kind: get_str(v, "kind")?,
@@ -1382,6 +1360,18 @@ impl LintDoc {
             line: get_u32(v, "line")?,
             message: get_str(v, "message")?,
         })
+    }
+}
+
+impl WriteJson for LintDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("kind", &self.kind);
+        w.field("func", &self.func);
+        w.field("var", &self.var);
+        w.field("line", &self.line);
+        w.field("message", &self.message);
+        w.end_object();
     }
 }
 
@@ -1453,26 +1443,6 @@ impl StaticDoc {
         }
     }
 
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("spawns_threads", Value::from(self.spawns_threads)),
-            ("affine_ops", Value::from(self.affine_ops)),
-            ("mem_ops", Value::from(self.mem_ops)),
-            (
-                "loops",
-                Value::Array(self.loops.iter().map(StaticLoopDoc::to_json).collect()),
-            ),
-            (
-                "claims",
-                Value::Array(self.claims.iter().map(ClaimDoc::to_json).collect()),
-            ),
-            (
-                "lints",
-                Value::Array(self.lints.iter().map(LintDoc::to_json).collect()),
-            ),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<StaticDoc> {
         Ok(StaticDoc {
             spawns_threads: get_bool(v, "spawns_threads")?,
@@ -1494,6 +1464,19 @@ impl StaticDoc {
     }
 }
 
+impl WriteJson for StaticDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("spawns_threads", &self.spawns_threads);
+        w.field("affine_ops", &self.affine_ops);
+        w.field("mem_ops", &self.mem_ops);
+        w.field("loops", &self.loops);
+        w.field("claims", &self.claims);
+        w.field("lints", &self.lints);
+        w.end_object();
+    }
+}
+
 /// The discovery section of the report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscoveryDoc {
@@ -1510,31 +1493,6 @@ pub struct DiscoveryDoc {
 }
 
 impl DiscoveryDoc {
-    fn to_json(&self) -> Value {
-        Value::object([
-            (
-                "loops",
-                Value::Array(self.loops.iter().map(LoopDoc::to_json).collect()),
-            ),
-            (
-                "spmd",
-                Value::Array(self.spmd.iter().map(SpmdDoc::to_json).collect()),
-            ),
-            (
-                "mpmd",
-                Value::Array(self.mpmd.iter().map(MpmdDoc::to_json).collect()),
-            ),
-            (
-                "ranked",
-                Value::Array(self.ranked.iter().map(RankedDoc::to_json).collect()),
-            ),
-            (
-                "patterns",
-                Value::Array(self.patterns.iter().map(PatternDoc::to_json).collect()),
-            ),
-        ])
-    }
-
     fn from_json(v: &Value) -> DocResult<DiscoveryDoc> {
         Ok(DiscoveryDoc {
             loops: get_array(v, "loops")?
@@ -1558,6 +1516,18 @@ impl DiscoveryDoc {
                 .map(PatternDoc::from_json)
                 .collect::<DocResult<_>>()?,
         })
+    }
+}
+
+impl WriteJson for DiscoveryDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("loops", &self.loops);
+        w.field("spmd", &self.spmd);
+        w.field("mpmd", &self.mpmd);
+        w.field("ranked", &self.ranked);
+        w.field("patterns", &self.patterns);
+        w.end_object();
     }
 }
 
@@ -1599,10 +1569,11 @@ impl ReportDoc {
     /// against `program`.
     pub fn from_report(program: &interp::Program, report: &Report) -> ReportDoc {
         let deps = &report.profile.deps;
+        let mut names = VarNames::new(program);
         let dependences = deps
-            .sorted()
+            .sorted_counted()
             .iter()
-            .map(|d| DepDoc::from_dep(program, d, deps.count(d)))
+            .map(|(d, count)| DepDoc::from_dep(&mut names, d, *count))
             .collect();
         let pet = report
             .profile
@@ -1641,7 +1612,7 @@ impl ReportDoc {
                 blocking: l
                     .blocking
                     .iter()
-                    .map(|d| DepDoc::from_dep(program, d, deps.count(d)))
+                    .map(|d| DepDoc::from_dep(&mut names, d, deps.count(d)))
                     .collect(),
                 reduction_vars: l.reduction_vars.clone(),
                 pipeline_stages: l.pipeline_stages as u64,
@@ -1741,22 +1712,13 @@ impl ReportDoc {
         }
     }
 
-    /// Serialize to a JSON tree (render with [`Value::to_string_pretty`]).
+    /// The document as a JSON tree: the [`WriteJson`] walk run into a
+    /// tree target. Its rendering is byte-identical to the walk run into
+    /// text ([`crate::Report::to_json_string`]).
     pub fn to_json(&self) -> Value {
-        Value::object([
-            ("schema_version", Value::from(self.schema_version)),
-            ("program", Value::from(self.program.as_str())),
-            ("engine", Value::from(self.engine.as_str())),
-            ("profile", self.profile.to_json()),
-            ("discovery", self.discovery.to_json()),
-            (
-                "static",
-                match &self.statics {
-                    Some(s) => s.to_json(),
-                    None => Value::Null,
-                },
-            ),
-        ])
+        let mut w = Writer::tree();
+        self.write_json(&mut w);
+        w.into_value()
     }
 
     /// Deserialize from a JSON tree.
@@ -1797,5 +1759,18 @@ impl ReportDoc {
             }
         }
         seen
+    }
+}
+
+impl WriteJson for ReportDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("schema_version", &self.schema_version);
+        w.field("program", &self.program);
+        w.field("engine", &self.engine);
+        w.field("profile", &self.profile);
+        w.field("discovery", &self.discovery);
+        w.field("static", &self.statics);
+        w.end_object();
     }
 }

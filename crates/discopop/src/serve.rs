@@ -429,7 +429,11 @@ fn read_line_bounded(
 
 fn send_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
     profiler::faultpoint!("serve:respond");
-    let mut line = resp.to_json().to_string();
+    // Streamed from the borrowed response: the report tree is neither
+    // cloned nor rebuilt.
+    let mut w = jsonio::Writer::compact();
+    jsonio::WriteJson::write_json(resp, &mut w);
+    let mut line = w.into_string();
     line.push('\n');
     stream.write_all(line.as_bytes())?;
     stream.flush()

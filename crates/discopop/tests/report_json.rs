@@ -2,8 +2,10 @@
 //! dependences, PET, loop classes, tasks, ranking, patterns — must survive
 //! serialize → parse → serialize bit-for-bit.
 
+use discopop::profiler::{Dep, DepType};
 use discopop::report::{ReportDoc, SCHEMA_VERSION};
 use discopop::{Analysis, EngineKind};
+use jsonio::{WriteJson, Writer};
 
 /// A program that exercises every report section: a DOALL loop, a
 /// reduction, a recurrence (blocking deps), printing, and a call.
@@ -69,7 +71,7 @@ fn report_covers_every_section() {
         .profile
         .dependences
         .iter()
-        .any(|d| d.var == "total" && d.ty == "RAW"));
+        .any(|d| &*d.var == "total" && d.ty == DepType::Raw));
     assert!(doc
         .profile
         .pet
@@ -385,5 +387,120 @@ fn static_block_roundtrips_and_reports_coverage() {
 fn malformed_documents_are_rejected() {
     for bad in ["", "{}", "[1,2,3]", "{\"schema_version\": 1}"] {
         assert!(ReportDoc::from_json_str(bad).is_err(), "`{bad}`");
+    }
+}
+
+/// The three ways out of a report must agree byte for byte: the pretty
+/// text streamed by `to_json_string`, the compact text streamed from the
+/// doc, and the tree built by `to_json` — and the text must parse back to
+/// the same doc.
+fn assert_targets_agree(
+    name: &str,
+    program: &discopop::interp::Program,
+    report: &discopop::Report,
+) {
+    let doc = report.to_doc(program);
+    let tree = doc.to_json();
+    let pretty = report.to_json_string(program);
+    assert_eq!(pretty, tree.to_string_pretty(), "{name}: pretty text");
+    let mut w = Writer::compact();
+    doc.write_json(&mut w);
+    assert_eq!(w.into_string(), tree.to_string(), "{name}: compact text");
+    let parsed = ReportDoc::from_json_str(&pretty).expect("parses back");
+    assert_eq!(parsed, doc, "{name}: parsed doc");
+}
+
+/// Every program of the evaluation set, analysed as `discopop analyze
+/// --static` does (auto-selected engine). `actors_10k` is left out: it is
+/// too slow in a debug build, and `actor_fanout`/`actor_ring` cover the
+/// actor block.
+#[test]
+fn every_workload_report_is_byte_identical_across_targets() {
+    let mut seen = 0;
+    for wl in workloads::all() {
+        if wl.name == "actors_10k" {
+            continue;
+        }
+        let mut analysis = Analysis::new().with_static(true);
+        let compiled = analysis.compile(wl.source, wl.name).unwrap();
+        analysis.engine_mut(EngineKind::auto_for(compiled.program()));
+        let report = analysis.analyze_compiled(&compiled).unwrap();
+        assert_targets_agree(wl.name, compiled.program(), &report);
+        seen += 1;
+    }
+    assert!(seen >= 50, "only {seen} workloads");
+}
+
+/// A dependence that does not fit the packed `DepKey` lives in the
+/// `DepSet`'s wide map; it must still sort into place with its count.
+#[test]
+fn wide_dependences_keep_order_and_counts_in_the_report() {
+    let (compiled, mut report) = full_report(EngineKind::SerialPerfect);
+    let base = report.profile.deps.sorted()[0];
+    let wide = Dep {
+        sink_thread: 5000,
+        ..base
+    };
+    // Thread ids past 4095 exceed the packed key's 12-bit budget.
+    report.profile.deps.insert_n(wide, 3);
+
+    let doc = report.to_doc(compiled.program());
+    let deps = &report.profile.deps;
+    let sorted = deps.sorted();
+    assert_eq!(doc.profile.dependences.len(), sorted.len());
+    for (d, want) in doc.profile.dependences.iter().zip(&sorted) {
+        let got = (
+            d.sink,
+            d.ty,
+            d.source,
+            d.sink_thread,
+            d.source_thread,
+            d.carried_by,
+            d.race_hint,
+        );
+        let want_key = (
+            want.sink,
+            want.ty,
+            want.source,
+            want.sink_thread,
+            want.source_thread,
+            want.carried_by,
+            want.race_hint,
+        );
+        assert_eq!(got, want_key);
+        assert_eq!(d.count, deps.count(want));
+    }
+    assert!(doc
+        .profile
+        .dependences
+        .iter()
+        .any(|d| d.sink_thread == 5000 && d.count == 3));
+    assert_targets_agree("wide", compiled.program(), &report);
+}
+
+/// A malformed location or an unknown dependence type is a schema error,
+/// not a panic.
+#[test]
+fn malformed_dependences_are_schema_errors() {
+    let (compiled, report) = full_report(EngineKind::SerialPerfect);
+    let json = report.to_json_string(compiled.program());
+    let raw = "\"type\": \"RAW\"";
+    assert!(json.contains(raw));
+    for (from, to) in [
+        ("\"sink\": \"1:", "\"sink\": \"x:"),
+        ("\"sink\": \"1:", "\"sink\": \"1"),
+        ("\"source\": \"1:", "\"source\": \":"),
+        ("\"sink\": \"1:", "\"sink\": \"-1:"),
+        ("\"sink\": \"1:", "\"sink\": \"+1:"),
+        (raw, "\"type\": \"RAWR\""),
+        (raw, "\"type\": 0"),
+    ] {
+        let bad = json.replacen(from, to, 1);
+        assert_ne!(bad, json, "{to}");
+        let err = ReportDoc::from_json_str(&bad).expect_err(to);
+        assert!(
+            err.0.contains("sink") || err.0.contains("source") || err.0.contains("type"),
+            "{err}"
+        );
     }
 }

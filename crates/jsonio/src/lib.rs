@@ -1,23 +1,50 @@
-//! `jsonio` — a minimal JSON tree, writer, and parser.
+//! `jsonio` — a minimal JSON tree, streaming writer, and parser.
 //!
 //! The workspace's `serde` is an offline no-op shim (see `shims/README.md`),
 //! so anything that actually needs a wire format serializes through this
-//! crate instead: build a [`Value`] tree, render it with [`Value::to_string`]
-//! or [`Value::to_string_pretty`], and read it back with [`Value::parse`].
+//! crate instead. Writing goes through one streaming [`Writer`]: a schema
+//! type implements [`WriteJson`] once, as a walk of `begin_object` / `key` /
+//! scalar events, and the writer's target decides what the walk produces —
+//! compact or two-space indented **text** streamed into one `String` (no
+//! intermediate tree), or a **[`Value`] tree**. Reading goes the other way:
+//! [`Value::parse`] builds a tree. [`Value::to_string`] and
+//! [`Value::to_string_pretty`] render a tree through the same writer, so
+//! there is one formatter.
 //!
-//! Numbers are kept in two lanes — [`Value::Int`] for integers (covering the
-//! full `i64`/`u64` range used by profiler counters) and [`Value::Float`] for
+//! Numbers are kept in two lanes — [`Value::Int`] for integers (the `i64`
+//! range; `u64` values above `i64::MAX` saturate) and [`Value::Float`] for
 //! everything else — so integer counts survive a round trip bit-for-bit.
 //!
 //! ```
-//! use jsonio::Value;
+//! use jsonio::{Value, WriteJson, Writer};
 //!
-//! let v = Value::object([
-//!     ("name", Value::from("demo")),
-//!     ("steps", Value::from(42u64)),
-//! ]);
-//! let text = v.to_string();
+//! struct Run {
+//!     name: String,
+//!     steps: u64,
+//! }
+//!
+//! impl WriteJson for Run {
+//!     fn write_json(&self, w: &mut Writer) {
+//!         w.begin_object();
+//!         w.field("name", &self.name);
+//!         w.field("steps", &self.steps);
+//!         w.end_object();
+//!     }
+//! }
+//!
+//! let run = Run { name: "demo".into(), steps: 42 };
+//! // Text target: streamed, no tree.
+//! let mut text = Writer::compact();
+//! run.write_json(&mut text);
+//! let text = text.into_string();
+//! assert_eq!(text, r#"{"name":"demo","steps":42}"#);
+//! // Tree target: the same walk, as a `Value`.
+//! let mut tree = Writer::tree();
+//! run.write_json(&mut tree);
+//! let v = tree.into_value();
+//! assert_eq!(v, Value::object([("name", Value::from("demo")), ("steps", Value::from(42u64))]));
 //! assert_eq!(Value::parse(&text).unwrap(), v);
+//! assert_eq!(v.to_string(), text);
 //! ```
 
 // Parsing untrusted input must never panic: every failure path returns a
@@ -26,7 +53,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
+
+mod writer;
+pub use writer::{WriteJson, Writer};
 
 /// A JSON document tree.
 ///
@@ -184,66 +213,16 @@ impl Value {
     /// Render without whitespace.
     #[allow(clippy::inherent_to_string)]
     pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        let mut w = Writer::compact();
+        w.value(self);
+        w.into_string()
     }
 
-    /// Render with two-space indentation.
+    /// Render with two-space indentation (ends with a newline).
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Value::Float(n) => write_f64(out, *n),
-            Value::Str(s) => write_escaped(out, s),
-            Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, indent, depth + 1);
-                    item.write(out, indent, depth + 1);
-                }
-                newline(out, indent, depth);
-                out.push(']');
-            }
-            Value::Object(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, indent, depth + 1);
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                }
-                newline(out, indent, depth);
-                out.push('}');
-            }
-        }
+        let mut w = Writer::pretty();
+        w.value(self);
+        w.into_string()
     }
 
     /// Parse a JSON document. The entire input must be consumed (trailing
@@ -287,50 +266,6 @@ impl Value {
         }
         Ok(v)
     }
-}
-
-fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', w * depth));
-    }
-}
-
-fn write_f64(out: &mut String, n: f64) {
-    if n.is_finite() {
-        let start = out.len();
-        let _ = write!(out, "{n}");
-        // Keep the float lane on re-parse: `2.0` formats as `2`.
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
-        // JSON has no Inf/NaN; null is the conventional fallback.
-        out.push_str("null");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        // Nothing to escape: copy the string in one piece.
-        out.push_str(s);
-    } else {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-    }
-    out.push('"');
 }
 
 /// Resource limits for parsing untrusted input. The defaults keep

@@ -19,14 +19,32 @@ pub enum DepType {
     Init,
 }
 
+impl DepType {
+    /// The DiscoPoP spelling: `RAW`, `WAR`, `WAW`, `INIT`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DepType::Raw => "RAW",
+            DepType::War => "WAR",
+            DepType::Waw => "WAW",
+            DepType::Init => "INIT",
+        }
+    }
+
+    /// Inverse of [`DepType::as_str`]; `None` for any other text.
+    pub fn parse(s: &str) -> Option<DepType> {
+        match s {
+            "RAW" => Some(DepType::Raw),
+            "WAR" => Some(DepType::War),
+            "WAW" => Some(DepType::Waw),
+            "INIT" => Some(DepType::Init),
+            _ => None,
+        }
+    }
+}
+
 impl std::fmt::Display for DepType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DepType::Raw => write!(f, "RAW"),
-            DepType::War => write!(f, "WAR"),
-            DepType::Waw => write!(f, "WAW"),
-            DepType::Init => write!(f, "INIT"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -280,6 +298,17 @@ impl DepSet {
     /// All distinct dependences, totally ordered for deterministic output.
     pub fn sorted(&self) -> Vec<Dep> {
         let mut v: Vec<Dep> = self.iter().map(|(d, _)| d).collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// All distinct dependences with their occurrence counts, in the order
+    /// of [`DepSet::sorted`] — one pass instead of `sorted()` plus a
+    /// [`DepSet::count`] probe per dependence.
+    pub fn sorted_counted(&self) -> Vec<(Dep, u64)> {
+        let mut v: Vec<(Dep, u64)> = self.iter().collect();
+        // Distinct entries never tie on the dependence, so the count never
+        // decides the order.
         v.sort_unstable();
         v
     }
@@ -631,6 +660,27 @@ mod tests {
         s.merge(other);
         assert_eq!(s.count(&wide), 3);
         assert!(s.sorted().contains(&wide));
+    }
+
+    #[test]
+    fn sorted_counted_matches_sorted_plus_count() {
+        // Packed and wide entries interleave in one total order.
+        let wide = Dep {
+            sink_thread: 5000,
+            ..dep(4, DepType::War, 1, 0)
+        };
+        let mut s = DepSet::new();
+        for d in [dep(9, DepType::Raw, 2, 1), wide, dep(1, DepType::Waw, 1, 0)] {
+            s.insert(d);
+        }
+        s.insert_n(wide, 4);
+        let expected: Vec<(Dep, u64)> = s.sorted().into_iter().map(|d| (d, s.count(&d))).collect();
+        assert_eq!(s.sorted_counted(), expected);
+        assert_eq!(expected[1], (wide, 5));
+        for t in [DepType::Raw, DepType::War, DepType::Waw, DepType::Init] {
+            assert_eq!(DepType::parse(t.as_str()), Some(t));
+        }
+        assert_eq!(DepType::parse("raw"), None);
     }
 
     #[test]

@@ -157,7 +157,15 @@ fn hash_addr(addr: u64, len: usize) -> usize {
     // addresses sharing low word-index bits collide systematically.
     let mut h = (addr >> 3).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h ^= h >> 32;
-    (h % len as u64) as usize
+    let len = len as u64;
+    // For a power-of-two length the mask is the same slot as `%`, without
+    // the 64-bit division (the auto tier's 2^18 slots, and every halving
+    // of it).
+    if len.is_power_of_two() {
+        (h & (len - 1)) as usize
+    } else {
+        (h % len) as usize
+    }
 }
 
 impl SignatureMap {
